@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dvfs_core::dataset::Dataset;
-use dvfs_core::models::{ModelConfig, PowerTimeModels};
+use dvfs_core::models::{ModelConfig, PowerTimeModels, PredictEngines};
 use gpu_model::{DeviceSpec, DvfsGrid, NoiseModel, SignatureBuilder};
 use nn::activation::Activation;
 use nn::network::{Network, NetworkBuilder};
@@ -168,14 +168,17 @@ fn bench_epoch_cost(c: &mut Criterion) {
 fn bench_prediction(c: &mut Criterion) {
     let (spec, ds) = campaign_dataset();
     let models = PowerTimeModels::train(&ds);
+    let engines = PredictEngines::compile(&models, nn::Precision::F64);
     let grid = DvfsGrid::for_spec(&spec);
     let freqs = grid.used();
     c.bench_function("predict_power_time_61_states", |b| {
         b.iter(|| {
             let mut acc = 0.0;
-            for &f in &freqs {
-                acc += models.predict_power_w(&spec, black_box(0.6), black_box(0.5), f);
-                acc += models.predict_time_ratio(&spec, black_box(0.6), black_box(0.5), f);
+            for f in &freqs {
+                let f = std::slice::from_ref(f);
+                acc += engines.predict_power_w_batch(&spec, black_box(0.6), black_box(0.5), f)[0];
+                acc +=
+                    engines.predict_time_ratio_batch(&spec, black_box(0.6), black_box(0.5), f)[0];
             }
             acc
         })

@@ -6,12 +6,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dvfs_core::cache::ProfileCache;
 use dvfs_core::dataset::Dataset;
-use dvfs_core::models::PowerTimeModels;
+use dvfs_core::models::{PowerTimeModels, PredictEngines};
 use dvfs_core::predictor::{PredictedProfile, Predictor};
 use gpu_model::{DeviceSpec, DvfsGrid, MetricSample, NoiseModel, SignatureBuilder};
 use nn::activation::Activation;
 use nn::network::NetworkBuilder;
-use nn::{reference, Workspace};
+use nn::{reference, Precision, Workspace};
 use std::hint::black_box;
 use tensor::Matrix;
 
@@ -66,22 +66,22 @@ fn reference_sample(spec: &DeviceSpec) -> MetricSample {
 /// The pre-batching online phase: two scalar forward passes per frequency
 /// (2F single-row network evaluations for an F-state sweep).
 fn scalar_profile(
-    models: &PowerTimeModels,
+    engines: &PredictEngines,
     spec: &DeviceSpec,
     reference: &MetricSample,
     freqs: &[f64],
 ) -> PredictedProfile {
     let fp = reference.fp_active();
     let dram = reference.dram_active;
-    let ratio_at_max = models.predict_time_ratio(spec, fp, dram, spec.max_core_mhz);
+    let ratio_at_max = engines.predict_time_ratio(spec, fp, dram, spec.max_core_mhz);
     let anchor = reference.exec_time / ratio_at_max.max(1e-9);
     let power_w: Vec<f64> = freqs
         .iter()
-        .map(|&f| models.predict_power_w(spec, fp, dram, f))
+        .map(|&f| engines.predict_power_w_batch(spec, fp, dram, &[f])[0])
         .collect();
     let time_s: Vec<f64> = freqs
         .iter()
-        .map(|&f| anchor * models.predict_time_ratio(spec, fp, dram, f))
+        .map(|&f| anchor * engines.predict_time_ratio_batch(spec, fp, dram, &[f])[0])
         .collect();
     PredictedProfile::new(reference.workload.clone(), freqs.to_vec(), power_w, time_s)
 }
@@ -89,6 +89,7 @@ fn scalar_profile(
 fn bench_prediction(c: &mut Criterion) {
     let spec = DeviceSpec::ga100();
     let models = trained_models(&spec);
+    let engines = PredictEngines::compile(&models, Precision::F64);
     let predictor = Predictor::new(&models, spec.clone());
     let freqs = DvfsGrid::for_spec(&spec).used();
     assert_eq!(freqs.len(), 61);
@@ -96,7 +97,7 @@ fn bench_prediction(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("predict_61_states");
     group.bench_function("scalar_loop", |b| {
-        b.iter(|| scalar_profile(&models, &spec, black_box(&reference), black_box(&freqs)))
+        b.iter(|| scalar_profile(&engines, &spec, black_box(&reference), black_box(&freqs)))
     });
     group.bench_function("batched", |b| {
         b.iter(|| predictor.predict_from_reference(black_box(&reference), black_box(&freqs)))

@@ -11,7 +11,6 @@ use nn::Activation;
 fn main() {
     let lab = bench::build_lab();
     let ds: &Dataset = &lab.pipeline.dataset;
-    let spec = lab.pipeline.train_spec.clone();
 
     let candidates = [
         Activation::Selu,
@@ -49,23 +48,7 @@ fn main() {
             .copied()
             .unwrap_or(f64::NAN);
 
-        // Mean power accuracy over the six applications under this model.
-        let mut acc_sum = 0.0;
-        for app in &lab.apps {
-            let measured = &lab.measured_ga100[&app.name];
-            let (fp, dram) = app.activities(&spec, spec.max_core_mhz);
-            let pred: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_power_w(&spec, fp, dram, f))
-                .collect();
-            acc_sum += nn::metrics::accuracy_from_mape(&pred, &measured.power_w);
-        }
-        println!(
-            "{:<12} {:>12.6} {:>16.1}",
-            act.name(),
-            val,
-            acc_sum / lab.apps.len() as f64
-        );
+        let (power_acc, _) = bench::mean_app_accuracy(&lab, &models);
+        println!("{:<12} {:>12.6} {:>16.1}", act.name(), val, power_acc);
     }
 }

@@ -8,13 +8,11 @@
 use dvfs_core::dataset::Dataset;
 use dvfs_core::models::{ModelConfig, PowerTimeModels, BATCH_SIZE};
 use nn::{Loss, OptimizerKind, TrainConfig, Trainer};
-use telemetry::GpuBackend;
 use tensor::Matrix;
 
 fn main() {
     let lab = bench::build_lab();
     let ds: &Dataset = &lab.pipeline.dataset;
-    let spec = lab.ga100.spec().clone();
 
     println!("== Ablation: fixed epochs vs early stopping (power model) ==");
     println!(
@@ -25,7 +23,6 @@ fn main() {
     // Paper-fixed budget, straight from the lab's pipeline.
     report(
         &lab,
-        &spec,
         "paper (100 fixed)",
         &lab.pipeline.models,
         lab.pipeline.models.power_history.train_loss.len(),
@@ -56,34 +53,12 @@ fn main() {
             power_history: history,
             time_history: lab.pipeline.models.time_history.clone(),
         };
-        report(
-            &lab,
-            &spec,
-            &format!("early stop (p={patience})"),
-            &models,
-            epochs,
-        );
+        report(&lab, &format!("early stop (p={patience})"), &models, epochs);
     }
 }
 
-fn report(
-    lab: &dvfs_core::experiments::Lab,
-    spec: &gpu_model::DeviceSpec,
-    label: &str,
-    models: &PowerTimeModels,
-    epochs: usize,
-) {
-    let mut acc = 0.0;
-    for app in &lab.apps {
-        let measured = &lab.measured_ga100[&app.name];
-        let (fp, dram) = app.activities(spec, spec.max_core_mhz);
-        let pred: Vec<f64> = measured
-            .frequencies
-            .iter()
-            .map(|&f| models.predict_power_w(spec, fp, dram, f))
-            .collect();
-        acc += nn::metrics::accuracy_from_mape(&pred, &measured.power_w);
-    }
+fn report(lab: &dvfs_core::experiments::Lab, label: &str, models: &PowerTimeModels, epochs: usize) {
+    let (power_acc, _) = bench::mean_app_accuracy(lab, models);
     println!(
         "{:<22} {:>8} {:>14.6} {:>16.1}",
         label,
@@ -94,6 +69,6 @@ fn report(
             .last()
             .copied()
             .unwrap_or(f64::NAN),
-        acc / lab.apps.len() as f64
+        power_acc
     );
 }

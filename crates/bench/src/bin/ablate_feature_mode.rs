@@ -26,33 +26,13 @@ fn main() {
         let ds = Dataset::from_samples_with(&spec, &lab.pipeline.samples, mode)
             .expect("campaign covers the default clock");
         let models = PowerTimeModels::train(&ds);
-        let mut p_acc = 0.0;
-        let mut t_acc = 0.0;
-        for app in &lab.apps {
-            let measured = &lab.measured_ga100[&app.name];
-            let (fp, dram) = app.activities(&spec, spec.max_core_mhz);
-            let pred_p: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_power_w(&spec, fp, dram, f))
-                .collect();
-            let pred_t: Vec<f64> = measured
-                .frequencies
-                .iter()
-                .map(|&f| models.predict_time_ratio(&spec, fp, dram, f))
-                .collect();
-            let pred_t_norm: Vec<f64> =
-                pred_t.iter().map(|&t| t / pred_t.last().unwrap()).collect();
-            p_acc += nn::metrics::accuracy_from_mape(&pred_p, &measured.power_w);
-            t_acc += nn::metrics::accuracy_from_mape(&pred_t_norm, &measured.normalized_time());
-        }
-        let n = lab.apps.len() as f64;
+        let (p_acc, t_acc) = bench::mean_app_accuracy(&lab, &models);
         println!(
             "{:<14} {:>8} {:>18.1} {:>17.1}",
             name,
             ds.len(),
-            p_acc / n,
-            t_acc / n
+            p_acc,
+            t_acc
         );
     }
 }

@@ -1,13 +1,16 @@
-//! Experiment harness shared by the per-figure binaries and the Criterion
-//! benches.
+//! Experiment harness shared by the `run_all` reproduction binary, the
+//! ablation binaries and the Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one of the paper's tables or
-//! figures: it builds a [`dvfs_core::experiments::Lab`], runs the matching
-//! driver, prints the rendered rows/series, and (when `DVFS_RESULTS_DIR`
-//! is set) writes the JSON report next to it.
+//! `run_all` regenerates the paper's tables and figures: it builds one
+//! [`dvfs_core::experiments::Lab`], runs the requested drivers, prints
+//! the rendered rows/series, and (when `DVFS_RESULTS_DIR` is set) writes
+//! each JSON report next to it.
 
 use dvfs_core::experiments::Lab;
+use dvfs_core::models::{PowerTimeModels, PredictEngines};
+use nn::metrics::accuracy_from_mape;
 use serde::Serialize;
+use telemetry::GpuBackend;
 
 /// Builds the Lab for a harness binary. `DVFS_QUICK=1` subsamples the
 /// training grid (stride 4) for fast smoke runs; the default is the
@@ -47,4 +50,27 @@ pub fn emit<T: Serialize>(name: &str, rendered: &str, report: &T) {
             Err(e) => obs::log!(Error, "[harness] failed to serialize {name}: {e}"),
         }
     }
+}
+
+/// Mean per-application prediction accuracy (%) of `models` over the
+/// lab's applications against their measured GA100 profiles, as
+/// `(power, normalized time)`. Each application is one batched f64
+/// engine sweep over its measured frequencies.
+pub fn mean_app_accuracy(lab: &Lab, models: &PowerTimeModels) -> (f64, f64) {
+    let spec = lab.ga100.spec();
+    let engines = PredictEngines::compile(models, nn::Precision::F64);
+    let (mut power_acc, mut time_acc) = (0.0, 0.0);
+    for app in &lab.apps {
+        let measured = &lab.measured_ga100[&app.name];
+        let (fp, dram) = app.activities(spec, spec.max_core_mhz);
+        let freqs = &measured.frequencies;
+        let power = engines.predict_power_w_batch(spec, fp, dram, freqs);
+        let time = engines.predict_time_ratio_batch(spec, fp, dram, freqs);
+        let t_max = *time.last().expect("non-empty sweep");
+        let time_norm: Vec<f64> = time.iter().map(|&t| t / t_max).collect();
+        power_acc += accuracy_from_mape(&power, &measured.power_w);
+        time_acc += accuracy_from_mape(&time_norm, &measured.normalized_time());
+    }
+    let n = lab.apps.len() as f64;
+    (power_acc / n, time_acc / n)
 }

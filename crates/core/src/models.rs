@@ -79,6 +79,7 @@ impl ModelConfig {
 }
 
 /// The trained power and time models plus their loss histories.
+/// Predictions run through [`PredictEngines::compile`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PowerTimeModels {
     /// Power model: features -> `P / TDP`.
@@ -139,96 +140,6 @@ impl PowerTimeModels {
         }
     }
 
-    /// Assembles the F x 3 feature matrix for one application (fixed
-    /// activities, one row per frequency) and runs a single forward pass
-    /// through `network`.
-    ///
-    /// Both the feature matrix and the network intermediates live in
-    /// thread-local buffers reused across calls, so a steady stream of
-    /// sweeps allocates only the returned `Vec` per request.
-    fn batch_forward(
-        network: &nn::Network,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        thread_local! {
-            static FEATURES: std::cell::RefCell<tensor::Matrix> =
-                std::cell::RefCell::new(tensor::Matrix::zeros(0, 0));
-        }
-        FEATURES.with(|cell| {
-            let mut x = cell.borrow_mut();
-            x.resize_to(frequencies.len(), NUM_FEATURES);
-            for (r, &mhz) in frequencies.iter().enumerate() {
-                x.row_mut(r).copy_from_slice(&Dataset::feature_row(
-                    fp_active,
-                    dram_active,
-                    mhz / spec.max_core_mhz,
-                ));
-            }
-            nn::Workspace::with_thread_local(network, |ws| {
-                network.predict_into(&x, ws).as_slice().to_vec()
-            })
-        })
-    }
-
-    /// Predicted power in watts at every frequency in `frequencies`, with
-    /// one network forward pass for the whole sweep.
-    ///
-    /// Each output row depends only on its own input row, so this matches
-    /// [`PowerTimeModels::predict_power_w`] bit-for-bit per frequency.
-    pub fn predict_power_w_batch(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        Self::batch_forward(&self.power, spec, fp_active, dram_active, frequencies)
-            .into_iter()
-            .map(|frac| (frac * spec.tdp_w).max(0.0))
-            .collect()
-    }
-
-    /// Predicted normalized times `T(f)/T(f_max)` at every frequency in
-    /// `frequencies`, with one network forward pass for the whole sweep.
-    pub fn predict_time_ratio_batch(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        frequencies: &[f64],
-    ) -> Vec<f64> {
-        Self::batch_forward(&self.time, spec, fp_active, dram_active, frequencies)
-            .into_iter()
-            .map(|ratio| ratio.max(0.0))
-            .collect()
-    }
-
-    /// Predicted power in watts for `spec` at the given features/clock.
-    pub fn predict_power_w(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        mhz: f64,
-    ) -> f64 {
-        self.predict_power_w_batch(spec, fp_active, dram_active, std::slice::from_ref(&mhz))[0]
-    }
-
-    /// Predicted normalized time `T(f)/T(f_max)` at the given
-    /// features/clock.
-    pub fn predict_time_ratio(
-        &self,
-        spec: &DeviceSpec,
-        fp_active: f64,
-        dram_active: f64,
-        mhz: f64,
-    ) -> f64 {
-        self.predict_time_ratio_batch(spec, fp_active, dram_active, std::slice::from_ref(&mhz))[0]
-    }
-
     /// Serializes both models to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("models serialize")
@@ -240,19 +151,17 @@ impl PowerTimeModels {
     }
 }
 
-/// The compiled inference-engine pair for the serving hot path: both
-/// trained networks frozen into [`nn::InferenceEngine`]s at a chosen
-/// [`Precision`].
+/// The compiled inference-engine pair: both trained networks frozen
+/// into [`nn::InferenceEngine`]s at a chosen [`Precision`]. This is the
+/// only forward path for the two models — the serve daemon, the offline
+/// Lab, the CLI and the ablations all sweep through it.
 ///
-/// Mirrors the [`PowerTimeModels`] prediction API (same feature
-/// assembly, same output clamping) but runs every sweep through the
-/// packed batch-fused kernels — one fused GEMM per layer over all
-/// frequencies instead of per-state matvecs. In [`Precision::F64`] mode
-/// the outputs are **bitwise identical** to the corresponding
-/// `PowerTimeModels` methods; the reduced-precision modes carry the
-/// documented error bounds from [`nn::infer`] and are gated behind the
-/// quality monitor before a snapshot may serve them (see
-/// `crate::snapshot`).
+/// Every sweep assembles one `F x 3` feature matrix and runs one batched
+/// pass per network. [`Precision::F64`] mode runs the network's own f64
+/// forward kernels and is the reference that the reduced-precision modes
+/// are gated against; those carry the documented error bounds from
+/// [`nn::infer`] and must pass the quality monitor before a snapshot may
+/// serve them (see `crate::snapshot`).
 #[derive(Debug, Clone)]
 pub struct PredictEngines {
     power: InferenceEngine,
@@ -275,8 +184,7 @@ impl PredictEngines {
     }
 
     /// Assembles the F x 3 feature matrix (thread-local, reused across
-    /// calls) and runs one batched engine pass — the engine-side twin of
-    /// `PowerTimeModels::batch_forward`.
+    /// calls) and runs one batched engine pass.
     fn batch_forward(
         engine: &InferenceEngine,
         spec: &DeviceSpec,
@@ -305,7 +213,9 @@ impl PredictEngines {
     }
 
     /// Predicted power in watts at every frequency, one fused engine
-    /// pass for the whole sweep.
+    /// pass for the whole sweep. Each output row depends only on its own
+    /// input row, so a one-element slice gives the same bits as the
+    /// matching row of a longer sweep.
     pub fn predict_power_w_batch(
         &self,
         spec: &DeviceSpec,
@@ -402,6 +312,16 @@ mod tests {
         Dataset::from_samples(spec, &samples).unwrap()
     }
 
+    /// Predicted power at one clock through the f64 engines.
+    fn power_at(models: &PowerTimeModels, spec: &DeviceSpec, fp: f64, dram: f64, mhz: f64) -> f64 {
+        PredictEngines::compile(models, Precision::F64).predict_power_w_batch(
+            spec,
+            fp,
+            dram,
+            &[mhz],
+        )[0]
+    }
+
     #[test]
     fn paper_configs_match_section_4_3() {
         let p = ModelConfig::paper_power();
@@ -456,11 +376,12 @@ mod tests {
             .kappa_compute(0.9)
             .build();
         let (fp, dram) = gpu_model::model::activities(&spec, &sig, spec.max_core_mhz);
-        let p_low = models.predict_power_w(&spec, fp, dram, 510.0);
-        let p_high = models.predict_power_w(&spec, fp, dram, 1410.0);
+        let engines = PredictEngines::compile(&models, Precision::F64);
+        let p = engines.predict_power_w_batch(&spec, fp, dram, &[510.0, 1410.0]);
+        let (p_low, p_high) = (p[0], p[1]);
         assert!(p_high > p_low * 1.5, "{p_low} -> {p_high}");
-        let t_low = models.predict_time_ratio(&spec, fp, dram, 510.0);
-        let t_high = models.predict_time_ratio(&spec, fp, dram, 1410.0);
+        let t_low = engines.predict_time_ratio(&spec, fp, dram, 510.0);
+        let t_high = engines.predict_time_ratio(&spec, fp, dram, 1410.0);
         assert!(t_low > 1.5 * t_high, "{t_low} -> {t_high}");
         assert!(
             (t_high - 1.0).abs() < 0.15,
@@ -474,9 +395,9 @@ mod tests {
         let ds = small_dataset(&spec);
         let models = PowerTimeModels::train(&ds);
         let back = PowerTimeModels::from_json(&models.to_json()).unwrap();
-        let a = models.predict_power_w(&spec, 0.5, 0.5, 1005.0);
-        let b = back.predict_power_w(&spec, 0.5, 0.5, 1005.0);
-        assert_eq!(a, b);
+        let a = power_at(&models, &spec, 0.5, 0.5, 1005.0);
+        let b = power_at(&back, &spec, 0.5, 0.5, 1005.0);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     mod props {
@@ -486,37 +407,38 @@ mod tests {
 
         /// Trains once and shares across all property cases — the property
         /// is about the prediction paths, not training.
-        fn shared() -> &'static (DeviceSpec, PowerTimeModels) {
-            static SHARED: OnceLock<(DeviceSpec, PowerTimeModels)> = OnceLock::new();
+        fn shared() -> &'static (DeviceSpec, PredictEngines) {
+            static SHARED: OnceLock<(DeviceSpec, PredictEngines)> = OnceLock::new();
             SHARED.get_or_init(|| {
                 let spec = DeviceSpec::ga100();
                 let models = PowerTimeModels::train(&small_dataset(&spec));
-                (spec, models)
+                (spec, PredictEngines::compile(&models, Precision::F64))
             })
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
-            /// The batched sweep must be *bitwise* identical to the scalar
-            /// per-frequency path — including grids larger than the matmul
-            /// parallel-dispatch threshold (64 rows), where the blocked
-            /// kernel hands rows to worker threads.
+            /// The batched sweep must be *bitwise* identical to the
+            /// single-row paths (the `rows = 1` time ratio and a
+            /// one-element power slice) — including grids larger than the
+            /// matmul parallel-dispatch threshold (64 rows), where the
+            /// blocked kernel hands rows to worker threads.
             #[test]
             fn batch_matches_scalar_bitwise(
                 fp in 0.0..1.0f64,
                 dram in 0.0..1.0f64,
                 n in 1usize..100,
             ) {
-                let (spec, models) = shared();
+                let (spec, engines) = shared();
                 let freqs: Vec<f64> =
                     (0..n).map(|i| 510.0 + 900.0 * i as f64 / n as f64).collect();
-                let batch_p = models.predict_power_w_batch(spec, fp, dram, &freqs);
-                let batch_t = models.predict_time_ratio_batch(spec, fp, dram, &freqs);
+                let batch_p = engines.predict_power_w_batch(spec, fp, dram, &freqs);
+                let batch_t = engines.predict_time_ratio_batch(spec, fp, dram, &freqs);
                 prop_assert_eq!(batch_p.len(), n);
                 prop_assert_eq!(batch_t.len(), n);
                 for (i, &f) in freqs.iter().enumerate() {
-                    let p = models.predict_power_w(spec, fp, dram, f);
-                    let t = models.predict_time_ratio(spec, fp, dram, f);
+                    let p = engines.predict_power_w_batch(spec, fp, dram, &[f])[0];
+                    let t = engines.predict_time_ratio(spec, fp, dram, f);
                     prop_assert_eq!(batch_p[i].to_bits(), p.to_bits());
                     prop_assert_eq!(batch_t[i].to_bits(), t.to_bits());
                 }
@@ -525,42 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn f64_engines_match_models_bitwise() {
-        let spec = DeviceSpec::ga100();
-        let ds = small_dataset(&spec);
-        let models = PowerTimeModels::train(&ds);
-        let engines = PredictEngines::compile(&models, Precision::F64);
-        let freqs: Vec<f64> = (0..61).map(|i| 510.0 + 15.0 * i as f64).collect();
-        let (fp, dram) = (0.62, 0.31);
-        assert_eq!(
-            engines.predict_power_w_batch(&spec, fp, dram, &freqs),
-            models.predict_power_w_batch(&spec, fp, dram, &freqs)
-        );
-        assert_eq!(
-            engines.predict_time_ratio_batch(&spec, fp, dram, &freqs),
-            models.predict_time_ratio_batch(&spec, fp, dram, &freqs)
-        );
-        assert_eq!(
-            engines
-                .predict_time_ratio(&spec, fp, dram, 1005.0)
-                .to_bits(),
-            models.predict_time_ratio(&spec, fp, dram, 1005.0).to_bits()
-        );
-    }
-
-    #[test]
     fn reduced_precision_engines_stay_near_f64() {
         let spec = DeviceSpec::ga100();
         let ds = small_dataset(&spec);
         let models = PowerTimeModels::train(&ds);
         let freqs: Vec<f64> = (0..61).map(|i| 510.0 + 15.0 * i as f64).collect();
+        let reference = PredictEngines::compile(&models, Precision::F64);
         // Normalized-output tolerances: power fractions and time ratios
         // live in O(1) units, so the nn-level bounds apply directly
         // (power is additionally scaled by TDP below).
         for (precision, rtol) in [(Precision::F32, 1e-3), (Precision::Bf16, 5e-2)] {
             let engines = PredictEngines::compile(&models, precision);
             assert_eq!(engines.precision(), precision);
-            let want_t = models.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
+            let want_t = reference.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
             let got_t = engines.predict_time_ratio_batch(&spec, 0.7, 0.4, &freqs);
             for (g, w) in got_t.iter().zip(&want_t) {
                 assert!(
@@ -568,7 +467,7 @@ mod tests {
                     "{precision}: time ratio {g} vs {w}"
                 );
             }
-            let want_p = models.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
+            let want_p = reference.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
             let got_p = engines.predict_power_w_batch(&spec, 0.7, 0.4, &freqs);
             for (g, w) in got_p.iter().zip(&want_p) {
                 assert!(
@@ -587,8 +486,8 @@ mod tests {
         let m2 = PowerTimeModels::train(&ds);
         assert_eq!(m1.power_history.train_loss, m2.power_history.train_loss);
         assert_eq!(
-            m1.predict_power_w(&spec, 0.7, 0.3, 900.0),
-            m2.predict_power_w(&spec, 0.7, 0.3, 900.0)
+            power_at(&m1, &spec, 0.7, 0.3, 900.0).to_bits(),
+            power_at(&m2, &spec, 0.7, 0.3, 900.0).to_bits()
         );
     }
 }

@@ -103,7 +103,7 @@ pub struct LoadgenReport {
     pub errors: f64,
     /// Wall-clock duration of the run, seconds.
     pub elapsed_s: f64,
-    /// Throughput, requests per second.
+    /// Throughput: ok replies per second (error replies excluded).
     pub qps: f64,
     /// Median round trip, microseconds.
     pub p50_us: f64,
@@ -212,13 +212,14 @@ impl Recorder<'_> {
     /// Reads one reply off `client`, checks it answers the request for
     /// `key` (the in-order contract: a pipelined server must reply in
     /// request order, which the workload echo makes observable), and
-    /// books the round trip against `sent`.
+    /// books the round trip from `start`: the send in the closed loop,
+    /// the request's due instant in the open loop.
     fn take_reply(
         &self,
         client: &mut Client,
         table: &FrameTable,
         key: usize,
-        sent: Instant,
+        start: Instant,
     ) -> io::Result<()> {
         let frame = client
             .read_frame_raw()
@@ -245,10 +246,10 @@ impl Recorder<'_> {
                     ),
                 ));
             }
-            self.rtt.record_duration(sent.elapsed());
+            self.rtt.record_duration(start.elapsed());
             self.ok.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.error_rtt.record_duration(sent.elapsed());
+            self.error_rtt.record_duration(start.elapsed());
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
@@ -324,27 +325,29 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                         // Open loop: launch on the fixed schedule;
                         // never skip a slot because the server was
                         // slow. Up to `depth` requests ride in flight
-                        // before a launch has to wait on a reply.
+                        // before a launch has to wait on a reply. Each
+                        // round trip is timed from the request's due
+                        // instant, so a launch held back by a slow
+                        // reply still counts the time it queued.
                         let gap = Duration::from_secs_f64(conns as f64 / rate_hz.max(1e-9));
                         let t0 = Instant::now();
                         let mut pending: VecDeque<(Instant, usize)> =
                             VecDeque::with_capacity(depth);
                         for seq in 0..share {
                             while pending.len() >= depth {
-                                let (sent, key) = pending.pop_front().unwrap();
-                                recorder.take_reply(&mut client, table, key, sent)?;
+                                let (due, key) = pending.pop_front().unwrap();
+                                recorder.take_reply(&mut client, table, key, due)?;
                             }
                             let due = t0 + gap.mul_f64(seq as f64);
                             if let Some(wait) = due.checked_duration_since(Instant::now()) {
                                 std::thread::sleep(wait);
                             }
                             let key = zipf.sample(rng.random::<f64>());
-                            let sent = Instant::now();
                             client.send_frames(&[table.bytes(key, seq, config.select_every)])?;
-                            pending.push_back((sent, key));
+                            pending.push_back((due, key));
                         }
-                        while let Some((sent, key)) = pending.pop_front() {
-                            recorder.take_reply(&mut client, table, key, sent)?;
+                        while let Some((due, key)) = pending.pop_front() {
+                            recorder.take_reply(&mut client, table, key, due)?;
                         }
                     }
                 }
@@ -368,7 +371,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         ok: ok as f64,
         errors: errors as f64,
         elapsed_s: elapsed,
-        qps: (ok + errors) as f64 / elapsed.max(1e-9),
+        qps: ok as f64 / elapsed.max(1e-9),
         p50_us: rtt.percentile(0.50) as f64 / 1e3,
         p90_us: rtt.percentile(0.90) as f64 / 1e3,
         p99_us: rtt.percentile(0.99) as f64 / 1e3,
@@ -379,6 +382,108 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::PredictedProfile;
+    use crate::serve::framing::{write_frame, FrameReader, DEFAULT_MAX_FRAME};
+    use std::net::TcpListener;
+
+    /// A one-connection stand-in server on an ephemeral port. For the
+    /// `seq`-th request it waits `hold(seq)`, then answers ok (echoing
+    /// the workload, as the real server does) or, when `fail(seq)`, with
+    /// an error reply. Returns the address to point the loadgen at.
+    fn stub_server(
+        hold: impl Fn(u64) -> Duration + Send + 'static,
+        fail: impl Fn(u64) -> bool + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new();
+            let mut seq = 0u64;
+            // The loadgen closing its connection ends the loop.
+            while let Ok(frame) = reader.read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+                let request: Request =
+                    serde_json::from_str(std::str::from_utf8(&frame).unwrap()).unwrap();
+                std::thread::sleep(hold(seq));
+                let response = if fail(seq) {
+                    Response::err(1, "stub failure")
+                } else {
+                    let mut ok = Response::ok(1);
+                    ok.profile = Some(PredictedProfile::new(
+                        request.workload.unwrap(),
+                        vec![1410.0],
+                        vec![300.0],
+                        vec![1.0],
+                    ));
+                    ok
+                };
+                let bytes = serde_json::to_string(&response).unwrap();
+                write_frame(&mut stream, bytes.as_bytes()).unwrap();
+                seq += 1;
+            }
+        });
+        (addr, handle)
+    }
+
+    fn one_connection(addr: String, requests: u64, pacing: Pacing) -> LoadgenConfig {
+        LoadgenConfig {
+            addr,
+            connections: 1,
+            requests,
+            pacing,
+            keys: 4,
+            select_every: 0,
+            ..LoadgenConfig::default()
+        }
+    }
+
+    #[test]
+    fn qps_counts_only_ok_replies() {
+        let (addr, server) = stub_server(|_| Duration::ZERO, |seq| seq % 2 == 1);
+        let report = run(&one_connection(addr, 40, Pacing::Closed)).unwrap();
+        server.join().unwrap();
+        assert_eq!((report.ok, report.errors), (20.0, 20.0));
+        let ok_rate = report.ok / report.elapsed_s;
+        assert!(
+            (report.qps - ok_rate).abs() <= 1e-9 * ok_rate,
+            "qps {} counts error replies (ok/s {ok_rate})",
+            report.qps
+        );
+    }
+
+    #[test]
+    fn open_loop_rtt_includes_queueing_behind_a_held_reply() {
+        // 100 req/s: request k is due at 10k ms. The server holds the
+        // first reply for 300 ms, so with one request in flight
+        // requests 1..=5 cannot be sent before ~300 ms and each queues
+        // at least 250 ms behind its due instant.
+        const HOLD: Duration = Duration::from_millis(300);
+        const REQUESTS: u64 = 6;
+        let (addr, server) = stub_server(
+            |seq| if seq == 0 { HOLD } else { Duration::ZERO },
+            |_| false,
+        );
+        // The histogram is global; other tests only add fast samples,
+        // so the growth of its sum is at least this run's total.
+        let rtt = obs::global().histogram("loadgen.rtt_ns");
+        let before = rtt.sum();
+        let report = run(&one_connection(
+            addr,
+            REQUESTS,
+            Pacing::Open { rate_hz: 100.0 },
+        ))
+        .unwrap();
+        server.join().unwrap();
+        assert_eq!(report.ok, REQUESTS as f64);
+        // Timed from the send, the five queued requests would add
+        // almost nothing to the held one's 300 ms.
+        let floor = Duration::from_millis(150).as_nanos() as u64 * REQUESTS;
+        let grown = rtt.sum() - before;
+        assert!(
+            grown >= floor,
+            "queued requests hid their wait: rtt sum grew {grown} ns, want >= {floor} ns"
+        );
+    }
 
     #[test]
     fn zipf_cdf_is_normalized_and_skewed() {

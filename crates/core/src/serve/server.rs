@@ -1016,8 +1016,8 @@ fn worker_loop(
         // Bind a predictor to the current snapshot; the Arc keeps it
         // alive (and bitwise stable) even if a publish lands mid-batch.
         let snap = shared.store.load();
-        // Every sweep runs on the snapshot's packed batch-fused engines
-        // (f64 mode is bitwise-identical to the training-path forward).
+        // Every sweep runs on the snapshot's compiled engines, at the
+        // precision the snapshot's gate let through.
         let predictor = Predictor::with_engines(&snap.models, &snap.engines, snap.spec.clone());
         let freqs = DvfsGrid::for_spec(&snap.spec).used();
         // The fixed response prefix for this snapshot: everything up to

@@ -209,6 +209,19 @@ DVFS_LOG=error target/release/dvfs replay --dir "$tmp/journal" \
     --models "$tmp/models.json" > "$tmp/replay.txt"
 grep -q 'divergent: 0 of 400' "$tmp/replay.txt"
 
+echo "==> run_all smoke (named drivers; unknown name exits 2)"
+# The one reproduction entry point: positional names select drivers, and
+# a typo must fail loudly with usage status 2 before any lab is built.
+cargo build --release --offline -p bench --bin run_all
+DVFS_QUICK=1 DVFS_LOG=error target/release/run_all table1_specs table2_apps \
+    > "$tmp/run_all.txt"
+grep -q '== Table 1: GPU specifications ==' "$tmp/run_all.txt"
+grep -q '== Table 2: applications used in this study ==' "$tmp/run_all.txt"
+status=0
+target/release/run_all no_such_driver 2> "$tmp/run_all_err.txt" || status=$?
+test "$status" -eq 2
+grep -q 'valid names: table1_specs' "$tmp/run_all_err.txt"
+
 echo "==> batch-fused engine speedup guard (release)"
 # `cargo test -q` above runs this file in a debug build where the timing
 # leg self-skips; the release run enforces the >=2x fused-f32 bound.

@@ -214,9 +214,11 @@ impl<'a> Predictor<'a> {
     }
 
     /// Runs both engines once each over the whole sweep: one `F x 3`
-    /// feature matrix and one forward pass per network, plus the
-    /// single-row time ratio at the default clock that anchors absolute
-    /// times.
+    /// feature matrix and one forward pass per network. The time ratio at
+    /// the default clock, which anchors absolute times, is the sweep's
+    /// last row when the sweep ends exactly at `f_max` (every used DVFS
+    /// grid does): a batch row is bitwise the single-row pass. Any other
+    /// sweep pays one extra single-row time pass.
     fn normalized_profile(
         &self,
         fp_active: f64,
@@ -224,20 +226,17 @@ impl<'a> Predictor<'a> {
         frequencies: &[f64],
     ) -> NormalizedProfile {
         let engines = &self.engines;
+        let max_mhz = self.spec.max_core_mhz;
+        let time_ratio =
+            engines.predict_time_ratio_batch(&self.spec, fp_active, dram_active, frequencies);
+        let ratio_at_max = match (frequencies.last(), time_ratio.last()) {
+            (Some(&f), Some(&r)) if f == max_mhz => r,
+            _ => engines.predict_time_ratio(&self.spec, fp_active, dram_active, max_mhz),
+        };
         NormalizedProfile {
             power_w: engines.predict_power_w_batch(&self.spec, fp_active, dram_active, frequencies),
-            time_ratio: engines.predict_time_ratio_batch(
-                &self.spec,
-                fp_active,
-                dram_active,
-                frequencies,
-            ),
-            ratio_at_max: engines.predict_time_ratio(
-                &self.spec,
-                fp_active,
-                dram_active,
-                self.spec.max_core_mhz,
-            ),
+            time_ratio,
+            ratio_at_max,
         }
     }
 
@@ -306,9 +305,8 @@ impl<'a> Predictor<'a> {
     /// applications hit after their first prediction.
     ///
     /// The `dvfs serve` daemon is thread-per-core — each worker already
-    /// owns its core, and the compat `rayon`'s `par_iter` spawns scoped
-    /// OS threads per call, which would cost more than the cached
-    /// predictions it parallelizes.
+    /// owns its core, so fanning a batch out over the shared `rayon` pool
+    /// would only contend with the other workers.
     pub fn predict_batch_cached<C: CacheHandle>(
         &self,
         cache: &C,
@@ -566,6 +564,69 @@ mod tests {
             assert!(dp < 0.02, "power drifted {:.3}% at {f} MHz", 100.0 * dp);
             assert!(dt < 0.02, "time drifted {:.3}% at {f} MHz", 100.0 * dt);
         }
+    }
+
+    /// The profile [`Predictor::predict_from_reference`] should produce at
+    /// activities `(fp, dram)`, anchored by an explicit single-row
+    /// `predict_time_ratio` pass at `f_max`.
+    fn explicit_anchor_profile(
+        models: &PowerTimeModels,
+        spec: &DeviceSpec,
+        (fp, dram): (f64, f64),
+        reference: &MetricSample,
+        freqs: &[f64],
+    ) -> PredictedProfile {
+        let engines = PredictEngines::compile(models, Precision::F64);
+        let power_w = engines.predict_power_w_batch(spec, fp, dram, freqs);
+        let ratios = engines.predict_time_ratio_batch(spec, fp, dram, freqs);
+        let at_max = engines.predict_time_ratio(spec, fp, dram, spec.max_core_mhz);
+        let anchor = reference.exec_time / at_max.max(1e-9);
+        let time_s = ratios.iter().map(|&r| anchor * r).collect();
+        PredictedProfile::new(reference.workload.clone(), freqs.to_vec(), power_w, time_s)
+    }
+
+    #[test]
+    fn default_clock_anchor_from_the_sweep_is_bitwise_the_single_row_pass() {
+        let backend = SimulatorBackend::ga100();
+        let spec = backend.spec().clone();
+        let models = trained_models(&spec);
+        let predictor = Predictor::new(&models, spec.clone());
+        let freqs = backend.grid().used();
+        assert_eq!(freqs.last(), Some(&spec.max_core_mhz));
+        let reference = reference_for(&spec, "app", 1.5e13, 1.0e12);
+        let exact = (reference.fp_active(), reference.dram_active);
+        let expect = explicit_anchor_profile(&models, &spec, exact, &reference, &freqs);
+        assert_eq!(predictor.predict_from_reference(&reference, &freqs), expect);
+
+        let cache = ProfileCache::new(8);
+        let quantized = (
+            cache.quantize(reference.fp_active()),
+            cache.quantize(reference.dram_active),
+        );
+        let expect = explicit_anchor_profile(&models, &spec, quantized, &reference, &freqs);
+        let miss = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+        let hit = predictor.predict_from_reference_cached(&cache, &reference, &freqs);
+        assert_eq!(miss, expect);
+        assert_eq!(hit, expect);
+    }
+
+    #[test]
+    fn sweep_below_the_default_clock_anchors_with_its_own_pass() {
+        let backend = SimulatorBackend::ga100();
+        let spec = backend.spec().clone();
+        let models = trained_models(&spec);
+        let predictor = Predictor::new(&models, spec.clone());
+        let freqs = [705.0, 1005.0];
+        let reference = reference_for(&spec, "app", 1.5e13, 1.0e12);
+        let exact = (reference.fp_active(), reference.dram_active);
+        let engines = PredictEngines::compile(&models, Precision::F64);
+        let last = engines.predict_time_ratio(&spec, exact.0, exact.1, 1005.0);
+        let at_max = engines.predict_time_ratio(&spec, exact.0, exact.1, spec.max_core_mhz);
+        // The sweep's last row is not the default-clock ratio, so taking it
+        // as the anchor would show.
+        assert_ne!(last.to_bits(), at_max.to_bits());
+        let expect = explicit_anchor_profile(&models, &spec, exact, &reference, &freqs);
+        assert_eq!(predictor.predict_from_reference(&reference, &freqs), expect);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Matrix multiplication kernels: naive, register-strip serial, and
+//! Matrix multiplication kernels: naive, register-tiled serial, and
 //! parallel.
 //!
-//! The serial kernel accumulates a 16-wide strip of each output row in
-//! registers across the whole shared dimension, so the output is written
-//! once instead of read-modified-written per term; the parallel kernel
-//! splits output rows across the rayon thread pool. Both produce
+//! The serial GEMM kernel keeps a 4-row × 16-column output tile in
+//! registers while it walks the shared dimension in 256-deep panels, so
+//! each loaded strip of `b` feeds four output rows and one panel of a `b`
+//! strip stays in L1 across a whole band of rows; the parallel kernel
+//! splits output rows into one band per rayon thread. Both produce
 //! bitwise-identical results to the naive kernel (same accumulation order
 //! per element), which the property tests rely on.
 //!
@@ -24,21 +25,17 @@ use rayon::prelude::*;
 /// Minimum number of output rows before [`matmul`] bothers going parallel.
 const PAR_ROW_THRESHOLD: usize = 64;
 
-/// Minimum multiply-add count before the `_into` kernels go parallel. The
-/// rayon shim spawns scoped threads per call, so parallelism has to
-/// amortize thread startup (tens of microseconds), not just row count —
-/// a 64-row layer matmul is far cheaper serial.
+/// Minimum multiply-add count before the `_into` kernels go parallel.
+/// Handing a band to a pool worker costs a wake-up and a join (several
+/// microseconds), so parallelism has to amortize that, not just row
+/// count — a 64-row layer matmul is far cheaper serial.
 const PAR_WORK_THRESHOLD: usize = 1 << 23;
 
 /// Computes `a @ b`, choosing the parallel kernel for large outputs and the
-/// blocked serial kernel otherwise.
+/// register-tiled serial kernel otherwise.
 pub fn matmul(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    if a.rows() >= PAR_ROW_THRESHOLD {
-        Ok(matmul_parallel_unchecked(a, b))
-    } else {
-        Ok(matmul_blocked_unchecked(a, b))
-    }
+    Ok(product(a, b, a.rows() >= PAR_ROW_THRESHOLD))
 }
 
 /// Reference triple-loop implementation. Slow; kept for testing.
@@ -60,16 +57,16 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     Ok(out)
 }
 
-/// Serial register-strip implementation (kept under its historical name).
+/// Serial register-tiled implementation (kept under its historical name).
 pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    Ok(matmul_blocked_unchecked(a, b))
+    Ok(product(a, b, false))
 }
 
 /// Row-parallel implementation on the rayon pool.
 pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> TensorResult<Matrix> {
     check(a, b)?;
-    Ok(matmul_parallel_unchecked(a, b))
+    Ok(product(a, b, true))
 }
 
 /// Computes `a @ x` where `x` is a length-`cols` vector, returning a vector.
@@ -96,23 +93,12 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) -> TensorResult<()>
     if out.shape() != (m, n) {
         return Err(ShapeError::new("matmul_into(out)", (m, n), out.shape()));
     }
-    out.as_mut_slice().fill(0.0);
     if m == 0 || n == 0 || k == 0 {
+        out.as_mut_slice().fill(0.0);
         return Ok(());
     }
-    if m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / n;
-                block_rows_into(a, b, out_chunk, i0, rows_here, k, n);
-            });
-    } else {
-        block_rows_into(a, b, out.as_mut_slice(), 0, m, k, n);
-    }
+    let parallel = m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD;
+    gemm(a, b, out.as_mut_slice(), parallel, |_, _| {});
     Ok(())
 }
 
@@ -210,15 +196,15 @@ pub fn matvec_into(a: &Matrix, x: &[f64], out: &mut [f64]) -> TensorResult<()> {
 }
 
 /// Computes `out = f(a @ b + bias)` in a single pass, broadcasting the
-/// length-`n` `bias` row and applying the elementwise map `f` while the
-/// register-strip accumulators spill — the output is written exactly
-/// once and never re-read. This is the fused affine+activation kernel
-/// behind `Dense::apply_into`.
+/// length-`n` `bias` row and applying the elementwise map `f` to each
+/// register tile as the last k-panel stores it, while it is still in L1 —
+/// no separate pass over the output. This is the fused affine+activation
+/// kernel behind `Dense::apply_into`.
 ///
 /// Bitwise-identical to `matmul_into` followed by a separate
 /// `out[i][j] = f(out[i][j] + bias[j])` pass: the accumulation order per
 /// element is unchanged and the bias add still happens after the full
-/// sum, only the intermediate store/reload disappears. Parallelizes over
+/// sum. Parallelizes over
 /// row bands with the same thresholds as [`matmul_into`].
 pub fn matmul_bias_map_into<F>(
     a: &Matrix,
@@ -258,19 +244,12 @@ where
         }
         return Ok(());
     }
-    if m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD {
-        let band = (m / rayon::current_num_threads().max(1)).max(1);
-        out.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(chunk_idx, out_chunk)| {
-                let i0 = chunk_idx * band;
-                let rows_here = out_chunk.len() / n;
-                block_rows_bias_map_into(a, b, bias, out_chunk, i0, rows_here, k, n, f);
-            });
-    } else {
-        block_rows_bias_map_into(a, b, bias, out.as_mut_slice(), 0, m, k, n, f);
-    }
+    let parallel = m >= PAR_ROW_THRESHOLD && m * k * n >= PAR_WORK_THRESHOLD;
+    gemm(a, b, out.as_mut_slice(), parallel, |j, sums| {
+        for (o, &bv) in sums.iter_mut().zip(&bias[j..]) {
+            *o = f(*o + bv);
+        }
+    });
     Ok(())
 }
 
@@ -367,130 +346,175 @@ fn check(a: &Matrix, b: &Matrix) -> TensorResult<()> {
     Ok(())
 }
 
-fn matmul_blocked_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    block_rows_into(a, b, out.as_mut_slice(), 0, m, k, n);
-    out
-}
-
-fn matmul_parallel_unchecked(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return out;
+/// Allocates and computes `a @ b`; see [`gemm`].
+fn product(a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    if a.rows() > 0 && a.cols() > 0 && b.cols() > 0 {
+        gemm(a, b, out.as_mut_slice(), parallel, |_, _| {});
     }
-    // Split the output into contiguous row bands, one rayon task per band.
-    let band = (m / rayon::current_num_threads().max(1)).max(1);
-    out.as_mut_slice()
-        .par_chunks_mut(band * n)
-        .enumerate()
-        .for_each(|(chunk_idx, out_chunk)| {
-            let i0 = chunk_idx * band;
-            let rows_here = out_chunk.len() / n;
-            block_rows_into(a, b, out_chunk, i0, rows_here, k, n);
-        });
     out
 }
 
-/// Width of the register-accumulated output strip used by the serial
-/// kernels: sixteen doubles span four AVX registers (eight SSE2), wide
-/// enough to hide FP-add latency with independent accumulation chains
-/// while still fitting the register file (32 spills, measured). Keeping
-/// the strip in registers across the whole shared dimension removes the
-/// per-element load/store of the output that otherwise bottlenecks the
-/// store port.
+/// Runs [`gemm_rows`] over every row of `out` (`a.rows() * b.cols()`
+/// elements; requires a non-empty shared dimension), split into one
+/// contiguous row band per rayon thread when `parallel`. Bands are whole
+/// register tiles; the split never changes any element's accumulation
+/// order.
+fn gemm<E>(a: &Matrix, b: &Matrix, out: &mut [f64], parallel: bool, finish: E)
+where
+    E: Fn(usize, &mut [f64]) + Copy + Sync,
+{
+    if !parallel {
+        gemm_rows(a, b, out, 0, finish);
+        return;
+    }
+    let band = a
+        .rows()
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(TILE_ROWS);
+    out.par_chunks_mut(band * b.cols())
+        .enumerate()
+        .for_each(|(chunk_idx, out_chunk)| gemm_rows(a, b, out_chunk, chunk_idx * band, finish));
+}
+
+/// Width of the register-accumulated output strip: sixteen doubles span
+/// two AVX-512 registers (four AVX2, eight SSE2), wide enough to hide
+/// FP-add latency with independent accumulation chains. The single-row
+/// [`vecmat_bias_map_into`] and [`matmul_at_b_into`] kernels keep one strip
+/// in registers; the GEMM kernel keeps a [`TILE_ROWS`] × `STRIP` tile.
 const STRIP: usize = 16;
 
-/// Computes rows `[i0, i0 + rows_here)` of `a @ b` into `out_chunk`
-/// (row-major, `rows_here * n` elements; fully overwritten).
+/// Output rows per register tile of the GEMM kernel. Each loaded strip of
+/// `b` feeds four rows, so a tile does four times the arithmetic per `b`
+/// load of a single-row strip; 4 × 16 accumulators still fit the register
+/// file next to the operands.
+const TILE_ROWS: usize = 4;
+
+/// Shared-dimension rows per k-panel of the GEMM kernel. One panel of a
+/// `b` strip (256 × 16 doubles, 32 KiB) stays in L1 while every row tile
+/// of the band streams past it.
+const PANEL: usize = 256;
+
+/// Computes rows `[i0, i0 + out_chunk.len() / n)` of `a @ b` into
+/// `out_chunk` (row-major; fully overwritten). Each finished
+/// run of sums starting at column `j` is passed to `finish(j, sums)`,
+/// which may rewrite it in place (the fused bias + activation). Requires
+/// `k > 0`.
 ///
-/// Each output element starts from `0.0` and accumulates over `p` in
-/// ascending order — the register strip only changes *where* the running
-/// sum lives, not the order of additions, so results are bit-for-bit
-/// equal to the naive kernel.
-fn block_rows_into(
-    a: &Matrix,
-    b: &Matrix,
-    out_chunk: &mut [f64],
-    i0: usize,
-    rows_here: usize,
-    k: usize,
-    n: usize,
-) {
-    for local_i in 0..rows_here {
-        let arow = a.row(i0 + local_i);
-        debug_assert_eq!(arow.len(), k);
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
+/// The shared dimension is walked in [`PANEL`]-row panels; within a
+/// panel, each `b` strip is swept down every [`TILE_ROWS`]-row tile of
+/// the band. The first panel starts each accumulator from `0.0`, later
+/// panels reload the partial sums the previous panel stored, and only the
+/// last panel calls `finish`. Every element therefore still accumulates
+/// `a[i][p] * b[p][j]` over ascending `p` from `0.0`, one rounded multiply
+/// and one rounded add per term (Rust never contracts them into an FMA),
+/// so results are bit-for-bit equal to the naive kernel. Row and column
+/// tails run the same panels one row or one element at a time.
+fn gemm_rows<E>(a: &Matrix, b: &Matrix, out_chunk: &mut [f64], i0: usize, finish: E)
+where
+    E: Fn(usize, &mut [f64]) + Copy,
+{
+    let k = a.cols();
+    let n = b.cols();
+    debug_assert!(k > 0);
+    let rows_here = out_chunk.len() / n;
+    let a = &a.as_slice()[i0 * k..(i0 + rows_here) * k];
+    let b = b.as_slice();
+    let mut p0 = 0;
+    while p0 < k {
+        let panel = Panel {
+            p0,
+            p1: (p0 + PANEL).min(k),
+            k,
+            n,
+        };
         let mut j = 0;
         while j + STRIP <= n {
-            let mut acc = [0.0f64; STRIP];
-            // No zero-skip: inputs are assumed dense (activations and
-            // weights almost never contain exact zeros), so the branch
-            // would only add a mispredict per element.
-            for (p, &aip) in arow.iter().enumerate() {
-                let brow = &b.row(p)[j..j + STRIP];
-                for (acw, &bv) in acc.iter_mut().zip(brow) {
-                    *acw += aip * bv;
-                }
+            let mut i = 0;
+            while i + TILE_ROWS <= rows_here {
+                panel.tile::<TILE_ROWS, E>(a, b, out_chunk, i, j, finish);
+                i += TILE_ROWS;
             }
-            orow[j..j + STRIP].copy_from_slice(&acc);
+            while i < rows_here {
+                panel.tile::<1, E>(a, b, out_chunk, i, j, finish);
+                i += 1;
+            }
             j += STRIP;
         }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f64;
-            for (p, &aip) in arow.iter().enumerate() {
-                s += aip * b.row(p)[jj];
+        for i in 0..rows_here {
+            let arow = &a[i * k + panel.p0..i * k + panel.p1];
+            for jj in j..n {
+                let o = &mut out_chunk[i * n + jj];
+                let mut s = if panel.first() { 0.0 } else { *o };
+                for (p, &aip) in (panel.p0..panel.p1).zip(arow) {
+                    s += aip * b[p * n + jj];
+                }
+                *o = s;
+                if panel.last() {
+                    finish(jj, std::slice::from_mut(o));
+                }
             }
-            *o = s;
         }
+        p0 = panel.p1;
     }
 }
 
-/// Fused sibling of [`block_rows_into`]: computes rows
-/// `[i0, i0 + rows_here)` of `f(a @ b + bias)` into `out_chunk`. The
-/// strip accumulators are identical; `bias[j]` is added and `f` applied
-/// as each element spills, so the chunk is written exactly once.
-#[allow(clippy::too_many_arguments)]
-fn block_rows_bias_map_into<F>(
-    a: &Matrix,
-    b: &Matrix,
-    bias: &[f64],
-    out_chunk: &mut [f64],
-    i0: usize,
-    rows_here: usize,
+/// One k-panel `[p0, p1)` of a `k`-deep product with `n` output columns.
+#[derive(Clone, Copy)]
+struct Panel {
+    p0: usize,
+    p1: usize,
     k: usize,
     n: usize,
-    f: F,
-) where
-    F: Fn(f64) -> f64,
-{
-    for local_i in 0..rows_here {
-        let arow = a.row(i0 + local_i);
-        debug_assert_eq!(arow.len(), k);
-        let orow = &mut out_chunk[local_i * n..(local_i + 1) * n];
-        let mut j = 0;
-        while j + STRIP <= n {
-            let mut acc = [0.0f64; STRIP];
-            for (p, &aip) in arow.iter().enumerate() {
-                let brow = &b.row(p)[j..j + STRIP];
-                for (acw, &bv) in acc.iter_mut().zip(brow) {
-                    *acw += aip * bv;
+}
+
+impl Panel {
+    fn first(&self) -> bool {
+        self.p0 == 0
+    }
+
+    fn last(&self) -> bool {
+        self.p1 == self.k
+    }
+
+    /// Accumulates this panel's terms into the `R × STRIP` output tile at
+    /// local row `i`, column `j`, in registers.
+    #[inline(always)]
+    fn tile<const R: usize, E>(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        i: usize,
+        j: usize,
+        finish: E,
+    ) where
+        E: Fn(usize, &mut [f64]),
+    {
+        let (k, n) = (self.k, self.n);
+        let mut acc = [[0.0f64; STRIP]; R];
+        if !self.first() {
+            for (r, row) in acc.iter_mut().enumerate() {
+                row.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + STRIP]);
+            }
+        }
+        let arows: [&[f64]; R] =
+            std::array::from_fn(|r| &a[(i + r) * k + self.p0..(i + r) * k + self.p1]);
+        for (t, p) in (self.p0..self.p1).enumerate() {
+            let bv: &[f64; STRIP] = b[p * n + j..p * n + j + STRIP].try_into().unwrap();
+            for (row, arow) in acc.iter_mut().zip(&arows) {
+                let aip = arow[t];
+                for (acw, &bw) in row.iter_mut().zip(bv) {
+                    *acw += aip * bw;
                 }
             }
-            for (i, &s) in acc.iter().enumerate() {
-                orow[j + i] = f(s + bias[j + i]);
-            }
-            j += STRIP;
         }
-        for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-            let mut s = 0.0f64;
-            for (p, &aip) in arow.iter().enumerate() {
-                s += aip * b.row(p)[jj];
+        for (r, row) in acc.iter().enumerate() {
+            let dst = &mut out[(i + r) * n + j..(i + r) * n + j + STRIP];
+            dst.copy_from_slice(row);
+            if self.last() {
+                finish(j, dst);
             }
-            *o = f(s + bias[jj]);
         }
     }
 }
@@ -499,8 +523,8 @@ fn block_rows_bias_map_into<F>(
 /// (row-major, `rows_here * n` elements; fully overwritten). `a` is
 /// `(r, m)`, `b` is `(r, n)`; output row `i` of the chunk is column
 /// `i0 + i` of `a` dotted against `b`, accumulated over `p` in ascending
-/// order (register strip as in [`block_rows_into`], same bit-exactness
-/// argument).
+/// order (one register strip held across the whole shared dimension, same
+/// bit-exactness argument as [`gemm_rows`]).
 fn at_b_rows_into(
     a: &Matrix,
     b: &Matrix,
@@ -909,6 +933,68 @@ mod tests {
                 prop_assert_eq!(out.as_slice(), oracle.as_slice());
             }
 
+            /// Every entry point is bitwise the naive oracle on shapes
+            /// straddling the register tile (4 rows × 16 columns) and the
+            /// 256-deep k-panel; the fused kernel is bitwise the unfused
+            /// sequence.
+            #[test]
+            fn tile_and_panel_edges_are_bitwise_naive(
+                (m_, ni, ki) in (1usize..10, 0usize..6, 0usize..6),
+                seed in 0u64..1000,
+            ) {
+                let n_ = [1, 15, 16, 17, 33, 64][ni];
+                let k_ = [0, 1, 255, 256, 257, 515][ki];
+                assert_entry_points_match_naive(m_, k_, n_, seed);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+            /// The same on the row-parallel path (m ≥ 64 and m·k·n ≥ 2²³),
+            /// with row counts that leave partial tiles in the bands.
+            #[test]
+            fn row_parallel_bands_are_bitwise_naive(
+                (m_, ni, extra) in (64usize..72, 0usize..3, 0usize..3),
+                seed in 0u64..1000,
+            ) {
+                let n_ = [17, 33, 64][ni];
+                let k_ = PAR_WORK_THRESHOLD.div_ceil(m_ * n_).max(515) + extra;
+                assert!(m_ >= PAR_ROW_THRESHOLD && m_ * k_ * n_ >= PAR_WORK_THRESHOLD);
+                assert_entry_points_match_naive(m_, k_, n_, seed);
+            }
+        }
+
+        fn assert_entry_points_match_naive(m_: usize, k_: usize, n_: usize, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = init::uniform(m_, k_, -5.0, 5.0, &mut rng);
+            let b = init::uniform(k_, n_, -5.0, 5.0, &mut rng);
+            let bias: Vec<f64> = (0..n_).map(|j| 0.37 * j as f64 - 1.0).collect();
+            let act = |z: f64| if z > 0.0 { z } else { 0.5 * (z.exp() - 1.0) };
+            let shape = format!("({m_},{k_},{n_})");
+            let oracle = matmul_naive(&a, &b).unwrap();
+            assert_eq!(
+                matmul(&a, &b).unwrap().as_slice(),
+                oracle.as_slice(),
+                "{shape}"
+            );
+            let mut out = Matrix::full(m_, n_, f64::NAN);
+            matmul_into(&a, &b, &mut out).unwrap();
+            assert_eq!(out.as_slice(), oracle.as_slice(), "{shape}");
+            for r in 0..m_ {
+                for (o, &bv) in out.row_mut(r).iter_mut().zip(&bias) {
+                    *o = act(*o + bv);
+                }
+            }
+            let mut fused = Matrix::full(m_, n_, f64::NAN);
+            matmul_bias_map_into(&a, &b, &bias, &mut fused, act).unwrap();
+            let (f, u) = (fused.as_slice(), out.as_slice());
+            assert!(
+                f.iter().zip(u).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{shape}"
+            );
+        }
+
+        proptest! {
             #[test]
             fn transpose_reverses_product(a in arb_matrix(3, 4), b in arb_matrix(4, 2)) {
                 // (A B)^T == B^T A^T

@@ -213,10 +213,13 @@ echo "==> run_all smoke (named drivers; unknown name exits 2)"
 # The one reproduction entry point: positional names select drivers, and
 # a typo must fail loudly with usage status 2 before any lab is built.
 cargo build --release --offline -p bench --bin run_all
+# fig5 runs the real DGEMM and STREAM kernels, so the smoke also drives
+# the tiled GEMM and the rayon pool end to end.
 DVFS_QUICK=1 DVFS_LOG=error target/release/run_all table1_specs table2_apps \
-    > "$tmp/run_all.txt"
+    fig5_input_invariance > "$tmp/run_all.txt"
 grep -q '== Table 1: GPU specifications ==' "$tmp/run_all.txt"
 grep -q '== Table 2: applications used in this study ==' "$tmp/run_all.txt"
+grep -q '== Figure 5: input-size impact on activities (at f_max) ==' "$tmp/run_all.txt"
 status=0
 target/release/run_all no_such_driver 2> "$tmp/run_all_err.txt" || status=$?
 test "$status" -eq 2
